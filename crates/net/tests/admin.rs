@@ -159,35 +159,6 @@ fn admin_plane_round_trips_over_loopback() {
     let _ = std::fs::remove_dir_all(root);
 }
 
-/// Pre-v3 clients get typed refusals from the admin plane (client-side
-/// gate: nothing is even sent), and the legacy one-frame stats path still
-/// works.
-#[test]
-fn admin_plane_degrades_on_old_protocols() {
-    let root = temp_root("degrade");
-    let server = VssServer::open_sharded(VssConfig::new(&root), 1).unwrap();
-    let net = NetServer::bind(server.clone(), "127.0.0.1:0").unwrap();
-    let mut store = RemoteStore::connect(net.local_addr()).unwrap().with_protocol_cap(2);
-    assert_eq!(store.negotiated_version().unwrap(), 2);
-
-    store.create("cam", None).unwrap();
-    match store.admin_table(admin_topic::SHARDS, 0) {
-        Err(VssError::Unsupported(message)) => {
-            assert!(message.contains("version"), "typed refusal: {message}")
-        }
-        other => panic!("expected a typed Unsupported error, got {other:?}"),
-    }
-    match store.metrics_text() {
-        Err(VssError::Unsupported(_)) => {}
-        other => panic!("expected a typed Unsupported error, got {other:?}"),
-    }
-    // The v2 single-frame stats path still answers.
-    assert!(store.stats_snapshot().unwrap().counters.iter().any(|(n, _)| n == "net.conn.accepted"));
-
-    net.shutdown();
-    let _ = std::fs::remove_dir_all(root);
-}
-
 /// The `vss-top --once` smoke the CI job runs: against a live loopback
 /// server it prints the admin tables plus the per-shard and
 /// per-stream-kind labeled series.

@@ -1,11 +1,16 @@
 //! End-to-end loopback coverage of the protocol flows: unary operations,
-//! streaming reads/writes, typed errors (including admission shed),
-//! cancellation and shutdown.
+//! streaming reads/writes, typed errors (including admission shed and
+//! refused handshakes), cancellation and shutdown.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 use vss_codec::Codec;
 use vss_core::{ReadRequest, VideoStorage, VssConfig, VssError, WriteRequest};
 use vss_frame::{pattern, FrameSequence, PixelFormat};
+use vss_net::wire::{
+    code, encode_message, read_message, write_message, Message, PROTOCOL_MAGIC, PROTOCOL_VERSION,
+};
 use vss_net::{NetServer, RemoteStore};
 use vss_server::{ServerConfig, VssServer};
 
@@ -93,61 +98,110 @@ fn full_contract_round_trips_over_loopback() {
     let _ = std::fs::remove_dir_all(root);
 }
 
-/// Version coexistence: a v1 client (dedicated connections, untagged
-/// envelopes) and a v3 client (one multiplexed connection) run the full data
-/// plane against the same server at the same time, and each sees exactly the
-/// bytes the in-process engine produces.
+/// Dials the server over a raw socket (no `RemoteStore`), with a read
+/// timeout so a server that hangs fails the test instead of wedging it.
+fn raw_socket(addr: std::net::SocketAddr) -> TcpStream {
+    let socket = TcpStream::connect(addr).unwrap();
+    socket.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    socket
+}
+
+/// Sends one raw length-prefixed payload.
+fn send_payload(socket: &mut TcpStream, payload: &[u8]) {
+    socket.write_all(&(payload.len() as u32).to_le_bytes()).unwrap();
+    socket.write_all(payload).unwrap();
+}
+
+/// Completes a version-3 handshake on a raw socket.
+fn raw_handshake(socket: &mut TcpStream) {
+    write_message(socket, &Message::Hello { magic: PROTOCOL_MAGIC, version: PROTOCOL_VERSION })
+        .unwrap();
+    match read_message(socket).unwrap() {
+        Message::HelloAck { version, .. } => assert_eq!(version, PROTOCOL_VERSION),
+        other => panic!("expected HelloAck, got {other:?}"),
+    }
+}
+
+/// Asserts the server closed `socket`: a read sees EOF (or a reset) before
+/// the read timeout, never a hang.
+fn assert_closed(socket: &mut TcpStream, what: &str) {
+    let mut byte = [0u8; 1];
+    match socket.read(&mut byte) {
+        Ok(0) => {}
+        Err(error) if error.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("{what}: expected EOF, got {other:?}"),
+    }
+}
+
+/// The server speaks protocol version 3 only. Older `Hello`s are refused
+/// with a typed error before admission; a streaming opener sent outside a
+/// mux frame is refused per request without ending the connection; and a
+/// payload in a retired envelope or kind ends just its own connection.
 #[test]
-fn v1_and_v3_clients_share_a_server_concurrently() {
-    let root = temp_root("mixed-versions");
-    let server = VssServer::open_sharded(VssConfig::new(&root), 2).unwrap();
+fn pre_v3_hellos_and_retired_frames_get_typed_refusals() {
+    let root = temp_root("refusal");
+    let server = VssServer::open_sharded(VssConfig::new(&root), 1).unwrap();
     let net = NetServer::bind(server.clone(), "127.0.0.1:0").unwrap();
     let addr = net.local_addr();
 
-    let clients: Vec<_> = [1u16, 3]
-        .into_iter()
-        .map(|cap| {
-            std::thread::spawn(move || {
-                let mut store =
-                    RemoteStore::connect(addr).unwrap().with_protocol_cap(cap);
-                assert_eq!(store.negotiated_version().unwrap(), cap);
-                let name = format!("cam-v{cap}");
-                let clip = sequence(75, cap as u64);
-                store.create(&name, None).unwrap();
-                let report = store.write(&WriteRequest::new(&name, Codec::H264), &clip).unwrap();
-                assert_eq!(report.frames_written, 75);
-                store.append(&name, &sequence(30, 100 + cap as u64)).unwrap();
-
-                let request = ReadRequest::new(&name, 0.0, 2.5, Codec::Hevc).uncacheable();
-                let remote = store.read(&request).unwrap();
-                assert_eq!(remote.frames.len(), 75);
-
-                // Incremental sink, plus a half-consumed stream dropped early.
-                let sink_name = format!("sink-v{cap}");
-                let mut sink =
-                    store.write_sink(&WriteRequest::new(&sink_name, Codec::H264), 30.0).unwrap();
-                for frame in clip.frames() {
-                    sink.push_frame(frame.clone()).unwrap();
-                }
-                assert_eq!(sink.finish().unwrap().gops_written, report.gops_written);
-                let mut stream = store
-                    .read_stream(&ReadRequest::new(&name, 0.0, 3.0, Codec::Hevc).uncacheable())
-                    .unwrap();
-                stream.next().unwrap().unwrap();
-                drop(stream);
-                assert!(store.metadata(&name).unwrap().bytes_used > 0);
-                (name, request)
-            })
-        })
-        .collect();
-    for client in clients {
-        let (name, request) = client.join().expect("versioned client panicked");
-        // Each client's store content matches the in-process engine's view.
-        let local = server.session().read(&request).unwrap();
-        assert_eq!(local.frames.len(), 75, "{name} diverged");
+    // (a) Version-1 and version-2 hellos get a typed PROTOCOL error naming
+    // version 3, then EOF; no session is ever admitted for them.
+    for version in [1u16, 2] {
+        let mut socket = raw_socket(addr);
+        write_message(&mut socket, &Message::Hello { magic: PROTOCOL_MAGIC, version }).unwrap();
+        match read_message(&mut socket).unwrap() {
+            Message::Error(error) => {
+                assert_eq!(error.code, code::PROTOCOL, "{error:?}");
+                assert!(error.message.contains("version 3"), "{}", error.message);
+            }
+            other => panic!("version {version}: expected a typed refusal, got {other:?}"),
+        }
+        assert_closed(&mut socket, "refused hello");
+        assert_eq!(server.active_sessions(), 0, "version {version} was admitted");
     }
 
+    let mut store = RemoteStore::connect(addr).unwrap();
+    store.write(&WriteRequest::new("cam", Codec::H264), &sequence(30, 0)).unwrap();
+
+    // (b) A plain OpenReadStream outside any Mux frame is a typed error,
+    // and the same connection still answers the next unary request.
+    let mut socket = raw_socket(addr);
+    raw_handshake(&mut socket);
+    let open = Message::OpenReadStream { request: ReadRequest::new("cam", 0.0, 1.0, Codec::H264) };
+    write_message(&mut socket, &open).unwrap();
+    match read_message(&mut socket).unwrap() {
+        Message::Error(error) => {
+            assert_eq!(error.code, code::PROTOCOL, "{error:?}");
+            assert!(error.message.contains("outside any operation"), "{}", error.message);
+        }
+        other => panic!("expected a typed refusal, got {other:?}"),
+    }
+    write_message(&mut socket, &Message::Metadata { name: "cam".into() }).unwrap();
+    match read_message(&mut socket).unwrap() {
+        Message::MetadataReply(metadata) => assert!(metadata.bytes_used > 0),
+        other => panic!("expected MetadataReply, got {other:?}"),
+    }
+    drop(socket);
+
+    // (c) The retired request-id envelope (0x7F) and the retired one-frame
+    // stats request (0x0B) end only their own connection.
+    let body = encode_message(&Message::Metadata { name: "cam".into() });
+    let mut tagged = vec![0x7f];
+    tagged.extend_from_slice(&42u64.to_le_bytes());
+    tagged.extend_from_slice(&body);
+    for payload in [tagged, vec![0x0b]] {
+        let mut socket = raw_socket(addr);
+        raw_handshake(&mut socket);
+        send_payload(&mut socket, &payload);
+        assert_closed(&mut socket, &format!("payload 0x{:02x}", payload[0]));
+    }
+    // The server is unharmed: the store's connection still reads.
+    let read =
+        store.read(&ReadRequest::new("cam", 0.0, 1.0, Codec::Raw(PixelFormat::Yuv420))).unwrap();
+    assert_eq!(read.frames.len(), 30);
+
     net.shutdown();
+    drop(store);
     assert!(server.shutdown(Duration::from_secs(10)));
     let _ = std::fs::remove_dir_all(root);
 }
@@ -186,12 +240,12 @@ fn admission_shed_surfaces_as_overloaded_and_cancellation_aborts_cleanly() {
         other => panic!("expected Overloaded, got {other:?}"),
     }
     assert!(server.rejected_sessions() >= 1);
-    drop(second); // free a slot for `first`'s dedicated streaming connections
+    drop(second); // a free slot lets the admission-retry helpers below settle
 
     retry(|| first.write(&WriteRequest::new("cam", Codec::H264), &sequence(150, 0)));
 
-    // Dropping a half-consumed remote stream closes its dedicated
-    // connection; the server aborts the drain and the store stays usable.
+    // Dropping a half-consumed remote stream resets just that stream; the
+    // server aborts the drain and the store stays usable.
     let mut stream = retry(|| {
         first.read_stream(&ReadRequest::new("cam", 0.0, 5.0, Codec::Hevc).uncacheable())
     });

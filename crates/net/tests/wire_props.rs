@@ -1,10 +1,10 @@
-//! Property tests for the version-2 wire extensions: tagged request-id
-//! envelopes and telemetry snapshots must round-trip for arbitrary values,
-//! and a version-1 decoder must always reject tagged payloads (the
-//! negotiation-fallback invariant) rather than misparse them.
+//! Property tests for the wire envelopes: the traced request envelope and
+//! paged telemetry snapshots must round-trip for arbitrary values, and the
+//! plain message decoder must always reject a traced payload rather than
+//! misparse it.
 
 use proptest::prelude::*;
-use vss_net::wire::{decode_envelope, decode_message, encode_message, encode_tagged, Message};
+use vss_net::wire::{decode_envelope, decode_message, encode_message, encode_traced, Message};
 use vss_telemetry::{HistogramSummary, TelemetrySnapshot};
 
 fn snapshot_from(counters: &[u64], gauges: &[i64], histograms: &[u64]) -> TelemetrySnapshot {
@@ -40,48 +40,53 @@ fn snapshot_from(counters: &[u64], gauges: &[i64], histograms: &[u64]) -> Teleme
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-    /// Any request id wrapped around any unary message survives the tagged
-    /// envelope round trip, and the same bytes are rejected by the plain
-    /// version-1 decoder (`0x7f` is not a message kind there).
+    /// Any `(request_id, parent)` pair wrapped around a unary message
+    /// survives the traced envelope round trip (parent 0 meaning "none"),
+    /// and the same bytes are rejected by the plain decoder (`0x7e` is not
+    /// a message kind).
     #[test]
-    fn tagged_envelopes_round_trip_for_any_request_id(request_id in any::<u64>()) {
-        let message = Message::StatsRequest;
-        let tagged = encode_tagged(request_id, &message);
-        let envelope = decode_envelope(&tagged).expect("tagged payload decodes");
+    fn traced_envelopes_round_trip_for_any_trace_context(
+        request_id in any::<u64>(),
+        parent in any::<u64>(),
+    ) {
+        let message = Message::MetricsTextRequest;
+        let traced = encode_traced(request_id, Some(parent), &message);
+        let envelope = decode_envelope(&traced).expect("traced payload decodes");
         prop_assert_eq!(envelope.request_id, Some(request_id));
-        prop_assert!(matches!(envelope.message, Message::StatsRequest));
+        prop_assert_eq!(envelope.parent_span_id, (parent != 0).then_some(parent));
+        prop_assert!(matches!(envelope.message, Message::MetricsTextRequest));
         prop_assert!(
-            decode_message(&tagged).is_err(),
-            "a version-1 decoder must reject the tagged marker"
+            decode_message(&traced).is_err(),
+            "the plain decoder must reject the traced marker"
         );
-        // Untagged payloads pass through decode_envelope unchanged.
+        // Untraced payloads pass through decode_envelope unchanged.
         let plain = encode_message(&message);
         let envelope = decode_envelope(&plain).expect("plain payload decodes");
         prop_assert_eq!(envelope.request_id, None);
+        prop_assert_eq!(envelope.parent_span_id, None);
     }
 
     /// Telemetry snapshots of arbitrary shape and values round-trip through
-    /// the StatsSnapshot codec exactly.
+    /// the StatsPage codec exactly.
     #[test]
     fn stats_snapshots_round_trip(
         counters in proptest::collection::vec(any::<u64>(), 0..8),
         gauges in proptest::collection::vec(any::<i64>(), 0..8),
         histograms in proptest::collection::vec(any::<u64>(), 0..8),
-        request_id in any::<u64>(),
+        start in any::<u32>(),
     ) {
         let snapshot = snapshot_from(&counters, &gauges, &histograms);
-        let message = Message::StatsSnapshot(snapshot.clone());
-        let decoded = decode_message(&encode_message(&message)).expect("snapshot decodes");
-        let Message::StatsSnapshot(back) = decoded else {
+        let total = (counters.len() + gauges.len() + histograms.len()) as u32;
+        let message = Message::StatsPage { total, start, snapshot: snapshot.clone() };
+        let decoded = decode_message(&encode_message(&message)).expect("page decodes");
+        let Message::StatsPage { total: back_total, start: back_start, snapshot: back } = decoded
+        else {
             return Err(TestCaseError::fail("wrong kind"));
         };
+        prop_assert_eq!(back_total, total);
+        prop_assert_eq!(back_start, start);
         prop_assert_eq!(&back.counters, &snapshot.counters);
         prop_assert_eq!(&back.gauges, &snapshot.gauges);
         prop_assert_eq!(&back.histograms, &snapshot.histograms);
-        // Snapshots also survive the tagged envelope (replies are plain on
-        // the wire today, but the framing must compose).
-        let envelope =
-            decode_envelope(&encode_tagged(request_id, &message)).expect("tagged snapshot");
-        prop_assert_eq!(envelope.request_id, Some(request_id));
     }
 }

@@ -260,12 +260,10 @@ fn eight_tcp_clients_with_admission_limit_leave_a_byte_identical_store() {
 
     // Mixed ops per client: wire write of its own video, streamed reads
     // (drained and early-dropped), an append, and an aborted sink mid-clip —
-    // all while the session limit (4) gates 8 clients plus their dedicated
-    // streaming connections. Each attempt dials a fresh store inside its
-    // backoff loop, so a shed client holds **zero** sessions while it
-    // sleeps — the documented client discipline that keeps a saturated
-    // admission gate live (a client that kept its control connection while
-    // waiting for a streaming slot could livelock the fleet).
+    // all while the session limit (4) gates 8 clients, each store holding
+    // one session for its multiplexed connection. Each attempt dials a fresh
+    // store inside its backoff loop, so a shed client holds **zero** sessions
+    // while it sleeps and a saturated admission gate stays live.
     let clips: Vec<FrameSequence> = (0..STRESS_CLIENTS)
         .map(|client| {
             let renderer = SceneRenderer::new(SceneConfig {
@@ -295,8 +293,8 @@ fn eight_tcp_clients_with_admission_limit_leave_a_byte_identical_store() {
             });
 
             // Drained stream + early-dropped stream. The store handle drops
-            // at the end of the closure; the stream keeps only its own
-            // dedicated connection.
+            // at the end of the closure; the stream keeps the store's one
+            // multiplexed connection (and its session) alive.
             let stream = with_backoff(|| {
                 RemoteStore::connect(addr)?
                     .read_stream(&ReadRequest::new(&name, 0.0, 2.0, Codec::Hevc).uncacheable())
@@ -352,7 +350,7 @@ fn eight_tcp_clients_with_admission_limit_leave_a_byte_identical_store() {
     }
     assert!(
         server.rejected_sessions() > 0,
-        "8 clients × dedicated stream connections against a limit of {SESSION_LIMIT} \
+        "8 clients dialing a fresh store per op against a limit of {SESSION_LIMIT} \
          must exercise admission control"
     );
 
