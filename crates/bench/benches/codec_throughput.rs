@@ -1,12 +1,15 @@
 //! Micro-benchmarks of the simulated codec substrate: encode and decode
-//! throughput per codec. These underpin the absolute numbers of the paper's
-//! read/write throughput figures (14, 15, 18, 20).
+//! throughput per codec, plus the RGB ↔ YUV conversions that sit in front of
+//! every encode of RGB input and behind every raw RGB read. These underpin
+//! the absolute numbers of the paper's read/write throughput figures (14, 15,
+//! 18, 20).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use vss_codec::{
     codec_instance, decode_gops_parallel, encode_to_gops_parallel, Codec, EncoderConfig,
 };
-use vss_frame::{pattern, FrameSequence, PixelFormat};
+use vss_frame::{pattern, FrameSequence, PixelFormat, Resolution};
+use vss_workload::{SceneConfig, SceneRenderer};
 
 fn sequence(frames: usize, width: u32, height: u32) -> FrameSequence {
     let frames: Vec<_> =
@@ -41,6 +44,55 @@ fn codec_benches(c: &mut Criterion) {
             b.iter(|| implementation.decode(gop).unwrap());
         });
     }
+    group.finish();
+}
+
+/// `frames` RGB frames of a 320×180 traffic scene: the input of the
+/// ingest path, whose encode starts with an RGB → YUV 4:2:0 conversion.
+fn scene_rgb(frames: usize) -> FrameSequence {
+    SceneRenderer::new(SceneConfig {
+        resolution: Resolution::new(320, 180),
+        format: PixelFormat::Rgb8,
+        ..SceneConfig::default()
+    })
+    .render_sequence(0, frames)
+}
+
+/// The ingest encode: one 30-frame GOP of RGB scene frames per codec.
+fn encode_rgb_benches(c: &mut Criterion) {
+    let seq = scene_rgb(30);
+    let pixels = 320 * 180 * seq.len() as u64;
+    let config = EncoderConfig::default();
+
+    let mut group = c.benchmark_group("encode_rgb");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(pixels));
+    for codec in [Codec::H264, Codec::Hevc] {
+        group.bench_with_input(BenchmarkId::from_parameter(codec.name()), &codec, |b, &codec| {
+            let implementation = codec_instance(codec);
+            b.iter(|| implementation.encode(&seq, &config).unwrap());
+        });
+    }
+    group.finish();
+}
+
+/// `Frame::convert` at the sizes the benchmark workloads use: RGB → 4:2:0
+/// at 320×180 (every ingest encode) and 4:2:0 → RGB at 160×90 (the last
+/// step of every quarter-size raw RGB read).
+fn convert_benches(c: &mut Criterion) {
+    let rgb = scene_rgb(1).frames()[0].clone();
+    let small = vss_frame::resize_bilinear(&rgb, 160, 90).unwrap().convert(PixelFormat::Yuv420).unwrap();
+
+    let mut group = c.benchmark_group("convert");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(rgb.pixels()));
+    group.bench_function("rgb_to_yuv420/320x180", |b| {
+        b.iter(|| rgb.convert(PixelFormat::Yuv420).unwrap());
+    });
+    group.throughput(Throughput::Elements(small.pixels()));
+    group.bench_function("yuv420_to_rgb/160x90", |b| {
+        b.iter(|| small.convert(PixelFormat::Rgb8).unwrap());
+    });
     group.finish();
 }
 
@@ -141,5 +193,12 @@ fn readahead_benches(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, codec_benches, parallel_scaling_benches, readahead_benches);
+criterion_group!(
+    benches,
+    codec_benches,
+    encode_rgb_benches,
+    convert_benches,
+    parallel_scaling_benches,
+    readahead_benches
+);
 criterion_main!(benches);

@@ -9,6 +9,7 @@
 use crate::CodecError;
 
 /// Appends an unsigned LEB128 varint to `out`.
+#[inline]
 pub fn write_varint(out: &mut Vec<u8>, mut value: u64) {
     loop {
         let byte = (value & 0x7F) as u8;
@@ -22,6 +23,7 @@ pub fn write_varint(out: &mut Vec<u8>, mut value: u64) {
 }
 
 /// Reads an unsigned LEB128 varint, advancing `pos`.
+#[inline]
 pub fn read_varint(data: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
     let mut value = 0u64;
     let mut shift = 0u32;
@@ -55,59 +57,132 @@ pub fn unzigzag(value: u64) -> i64 {
 /// varint coding. The output begins with the residual count so the decoder
 /// knows when to stop.
 pub fn encode_residuals(residuals: &[i32], out: &mut Vec<u8>) {
-    write_varint(out, residuals.len() as u64);
-    let mut zero_run = 0u64;
+    let mut writer = ResidualWriter::new(out, residuals.len());
     for &r in residuals {
+        writer.push(r);
+    }
+    writer.finish();
+}
+
+/// The streaming form of [`encode_residuals`], for a block whose length is
+/// known before its residuals are: the codecs code each residual as soon as
+/// it is quantized instead of buffering the block.
+pub(crate) struct ResidualWriter<'a> {
+    out: &'a mut Vec<u8>,
+    zero_run: u64,
+}
+
+impl<'a> ResidualWriter<'a> {
+    /// Starts a block of `count` residuals on `out`.
+    pub(crate) fn new(out: &'a mut Vec<u8>, count: usize) -> Self {
+        write_varint(out, count as u64);
+        Self { out, zero_run: 0 }
+    }
+
+    /// Appends the next residual of the block.
+    #[inline(always)]
+    pub(crate) fn push(&mut self, r: i32) {
         if r == 0 {
-            zero_run += 1;
+            self.zero_run += 1;
         } else {
-            write_varint(out, zero_run);
-            write_varint(out, zigzag(i64::from(r)));
-            zero_run = 0;
+            write_varint(self.out, self.zero_run);
+            write_varint(self.out, zigzag(i64::from(r)));
+            self.zero_run = 0;
         }
     }
-    if zero_run > 0 {
-        // Trailing zero run, marked by a zig-zag value of 0 (which cannot be
-        // produced by a non-zero residual).
-        write_varint(out, zero_run);
-        write_varint(out, zigzag(0));
+
+    /// Ends a block into which exactly `count` residuals were pushed.
+    pub(crate) fn finish(self) {
+        if self.zero_run > 0 {
+            // Trailing zero run, marked by a zig-zag value of 0 (which cannot
+            // be produced by a non-zero residual).
+            write_varint(self.out, self.zero_run);
+            write_varint(self.out, zigzag(0));
+        }
     }
+}
+
+/// Reads the residual count that opens a block, rejecting counts beyond
+/// 2^28 (one 16384 × 16384 plane) before anything is allocated for them.
+fn read_residual_count(data: &[u8], pos: &mut usize) -> Result<usize, CodecError> {
+    let count = read_varint(data, pos)?;
+    if count > 1 << 28 {
+        return Err(CodecError::Corrupt(format!("residual count {count} implausibly large")));
+    }
+    Ok(count as usize)
 }
 
 /// Decodes a residual slice produced by [`encode_residuals`], advancing `pos`.
 pub fn decode_residuals(data: &[u8], pos: &mut usize) -> Result<Vec<i32>, CodecError> {
-    let count = read_varint(data, pos)? as usize;
-    if count > 1 << 28 {
-        return Err(CodecError::Corrupt(format!("residual count {count} implausibly large")));
-    }
+    let count = read_residual_count(data, pos)?;
     // Cap the pre-allocation: a corrupt header claiming a huge (but
     // below-limit) count must not commit gigabytes before the payload check
     // fails. Legitimate blocks grow past the cap via ordinary resizing.
     let mut out = Vec::with_capacity(count.min(1 << 16));
     while out.len() < count {
-        let zero_run = read_varint(data, pos)? as usize;
-        if out.len() + zero_run > count {
+        let zero_run = read_varint(data, pos)?;
+        if zero_run > (count - out.len()) as u64 {
             return Err(CodecError::Corrupt("zero run exceeds residual count".into()));
         }
-        out.resize(out.len() + zero_run, 0);
-        let value = unzigzag(read_varint(data, pos)?);
-        if value != 0 {
-            if out.len() == count {
-                return Err(CodecError::Corrupt("residual value after full count".into()));
-            }
-            let v = i32::try_from(value)
-                .map_err(|_| CodecError::Corrupt("residual out of i32 range".into()))?;
+        out.resize(out.len() + zero_run as usize, 0);
+        if let Some(v) = read_run_value(data, pos, out.len() == count)? {
             out.push(v);
-        } else if out.len() < count {
-            // A zero marker before the buffer is full is only legal as the
-            // final trailing-run marker.
-            if out.len() != count {
-                // Trailing marker must complete the buffer exactly.
-                return Err(CodecError::Corrupt("premature trailing-run marker".into()));
-            }
         }
     }
     Ok(out)
+}
+
+/// Decodes a residual slice that must hold exactly `expected` residuals,
+/// appending them to `out` and advancing `pos`.
+///
+/// The count is checked (against `expected` and the 2^28 cap) before `out`
+/// grows, so a slice whose header disagrees with the caller's size fails
+/// without allocating. `out` is then zero-extended once and only the
+/// non-zero residuals are written: zero runs are skipped, not filled.
+pub(crate) fn decode_residuals_into(
+    data: &[u8],
+    pos: &mut usize,
+    expected: usize,
+    out: &mut Vec<i32>,
+) -> Result<(), CodecError> {
+    let count = read_residual_count(data, pos)?;
+    if count != expected {
+        return Err(CodecError::Corrupt(format!(
+            "plane residual count {count} does not match plane size {expected}"
+        )));
+    }
+    let start = out.len();
+    out.resize(start + expected, 0);
+    let block = &mut out[start..];
+    let mut filled = 0usize;
+    while filled < block.len() {
+        let zero_run = read_varint(data, pos)?;
+        if zero_run > (block.len() - filled) as u64 {
+            return Err(CodecError::Corrupt("zero run exceeds residual count".into()));
+        }
+        filled += zero_run as usize;
+        if let Some(v) = read_run_value(data, pos, filled == block.len())? {
+            block[filled] = v;
+            filled += 1;
+        }
+    }
+    Ok(())
+}
+
+/// Reads the value that ends a zero run: `Some` residual, or `None` for the
+/// trailing-run marker, which is only legal when the run completed the
+/// block (`full`).
+#[inline(always)]
+fn read_run_value(data: &[u8], pos: &mut usize, full: bool) -> Result<Option<i32>, CodecError> {
+    let value = unzigzag(read_varint(data, pos)?);
+    match (value, full) {
+        (0, true) => Ok(None),
+        (0, false) => Err(CodecError::Corrupt("premature trailing-run marker".into())),
+        (_, true) => Err(CodecError::Corrupt("residual value after full count".into())),
+        (v, false) => i32::try_from(v)
+            .map(Some)
+            .map_err(|_| CodecError::Corrupt("residual out of i32 range".into())),
+    }
 }
 
 /// Writes a little-endian u32 (used for fixed header fields).

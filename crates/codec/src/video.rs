@@ -21,8 +21,30 @@
 //!
 //! [`RawCodec`] stores frames uncompressed in a chosen pixel layout and is
 //! used for the `rgb`/`yuv` physical representations.
+//!
+//! # Kernel shape and the bit-identity contract
+//!
+//! The bitstream is the on-disk format of every stored GOP, so the kernels
+//! are written for speed without changing a byte of it (pinned by golden
+//! digests and by a property test against the original per-sample code):
+//!
+//! * Each of the four predictors — intra or inter, basic or MED — is its
+//!   own row loop over hoisted plane slices, with the first row and column
+//!   peeled, so there is no per-sample mode dispatch, edge branch or bounds
+//!   check. Encoder and decoder share these loops and differ only in the
+//!   per-sample step.
+//! * The quantizer is a 512-entry table of levels and reconstructions built
+//!   once per GOP: residuals of 8-bit samples lie in `[-255, 255]`, so the
+//!   table replaces a division per sample exactly.
+//! * The encoder zero-run codes each level as soon as it is quantized; the
+//!   decoder checks every plane's residual count before it allocates the
+//!   frame, writes only the non-zero levels into a buffer reused across
+//!   frames, and borrows the previous decoded frame as its reference.
+//! * YUV 4:2:0 input is encoded in place; other layouts are converted by
+//!   [`Frame::convert`], whose RGB kernels keep the exact `f32` expression
+//!   order and round without libm.
 
-use crate::bitstream::{decode_residuals, encode_residuals};
+use crate::bitstream::{decode_residuals_into, ResidualWriter};
 use crate::{Codec, CodecError, EncodedGop, EncoderConfig, FrameInfo, VideoCodec};
 use vss_frame::{Frame, FrameSequence, PixelFormat};
 
@@ -103,162 +125,282 @@ fn yuv420_planes(width: u32, height: u32) -> [(usize, usize, usize); 3] {
     [(0, w, h), (w * h, cw, ch), (w * h + cw * ch, cw, ch)]
 }
 
-fn quantize(residual: i32, q: i32) -> i32 {
-    if q <= 1 {
-        return residual;
+// --- kernels --------------------------------------------------------------
+
+/// The uniform quantizer of one GOP, tabulated.
+///
+/// Prediction residuals of 8-bit samples lie in `[-255, 255]`, so the
+/// rounding division of the quantizer is computed once per residual value
+/// when the GOP starts; coding a sample is then a table lookup.
+struct Quantizer {
+    /// `levels[d + 255]` is the quantized level of residual `d`.
+    levels: [i32; 512],
+    /// `steps[d + 255]` is that level times the step, the residual the
+    /// decoder reconstructs.
+    steps: [i32; 512],
+}
+
+impl Quantizer {
+    fn new(q: i32) -> Self {
+        let mut levels = [0; 512];
+        let mut steps = [0; 512];
+        let half = q / 2;
+        for residual in -255..=255i32 {
+            // Round half away from zero; a step of 1 or less keeps the
+            // residual as it is.
+            let level = if q <= 1 {
+                residual
+            } else if residual >= 0 {
+                (residual + half) / q
+            } else {
+                -((-residual + half) / q)
+            };
+            levels[(residual + 255) as usize] = level;
+            steps[(residual + 255) as usize] = level * q;
+        }
+        Self { levels, steps }
     }
-    let half = q / 2;
-    if residual >= 0 {
-        (residual + half) / q
-    } else {
-        -((-residual + half) / q)
+
+    /// Codes sample `actual` predicted as `pred` (both in `0..=255`),
+    /// returning its quantized level and its reconstruction.
+    #[inline(always)]
+    fn code(&self, actual: u8, pred: i32) -> (i32, u8) {
+        // The mask keeps the index provably in bounds; it never changes a
+        // residual of two 8-bit samples.
+        let index = (i32::from(actual) - pred + 255) as usize & 511;
+        (self.levels[index], clamp_pixel(pred + self.steps[index]))
     }
 }
 
+#[inline(always)]
 fn clamp_pixel(v: i32) -> u8 {
     v.clamp(0, 255) as u8
 }
 
+#[inline(always)]
 fn median3(a: i32, b: i32, c: i32) -> i32 {
     a.max(b).min(a.min(b).max(c))
 }
 
-/// Intra prediction for one sample. `advanced` selects the MED predictor.
-#[inline]
-fn predict_intra(recon: &[u8], x: usize, y: usize, w: usize, advanced: bool) -> i32 {
-    let left = if x > 0 { i32::from(recon[y * w + x - 1]) } else { -1 };
-    let above = if y > 0 { i32::from(recon[(y - 1) * w + x]) } else { -1 };
-    if !advanced {
-        if left >= 0 {
-            left
-        } else if above >= 0 {
-            above
+/// Runs one plane's prediction loop in raster order.
+///
+/// `recon` is the plane being reconstructed (`width` samples per row),
+/// `inputs` holds one input per sample (the source samples when encoding,
+/// the quantized levels when decoding) and `prev` is the co-located plane of
+/// the previous reconstructed frame, or `None` for an intra frame. For each
+/// sample the loop computes its prediction from already reconstructed
+/// samples and stores `sample(input, pred)`, the reconstructed value.
+/// `advanced` selects the HEVC-sim predictors.
+///
+/// Each of the four predictors is its own row loop with the first row and
+/// column peeled, so the per-sample work has no edge branches and no
+/// bounds checks.
+#[inline(always)]
+fn predict_plane<T: Copy>(
+    recon: &mut [u8],
+    inputs: &[T],
+    prev: Option<&[u8]>,
+    width: usize,
+    advanced: bool,
+    sample: impl FnMut(T, i32) -> u8,
+) {
+    match (prev, advanced) {
+        (None, false) => predict_intra_left(recon, inputs, width, sample),
+        (None, true) => predict_intra_med(recon, inputs, width, sample),
+        (Some(prev), false) => predict_inter_temporal(recon, inputs, prev, sample),
+        (Some(prev), true) => predict_inter_median(recon, inputs, prev, width, sample),
+    }
+}
+
+/// SimH264 intra: the left neighbour; the first column predicts from the
+/// sample above, and the first sample of the plane from 128.
+#[inline(always)]
+fn predict_intra_left<T: Copy>(
+    recon: &mut [u8],
+    inputs: &[T],
+    width: usize,
+    mut sample: impl FnMut(T, i32) -> u8,
+) {
+    let mut above = 128;
+    for (row, inputs) in recon.chunks_exact_mut(width).zip(inputs.chunks_exact(width)) {
+        let mut left = above;
+        for (out, &input) in row.iter_mut().zip(inputs) {
+            *out = sample(input, left);
+            left = i32::from(*out);
+        }
+        above = i32::from(row[0]);
+    }
+}
+
+/// SimHevc intra: the MED / LOCO-I gradient predictor, written as the
+/// median of left, above and `left + above - above_left`. The first row
+/// predicts from the left (128 for the first sample), the first column from
+/// above.
+#[inline(always)]
+fn predict_intra_med<T: Copy>(
+    recon: &mut [u8],
+    inputs: &[T],
+    width: usize,
+    mut sample: impl FnMut(T, i32) -> u8,
+) {
+    let (first, mut rest) = recon.split_at_mut(width);
+    let mut input_rows = inputs.chunks_exact(width);
+    let mut left = 128;
+    for (out, &input) in first.iter_mut().zip(input_rows.next().unwrap_or_default()) {
+        *out = sample(input, left);
+        left = i32::from(*out);
+    }
+    let mut above_row: &[u8] = first;
+    for inputs in input_rows {
+        let (row, tail) = std::mem::take(&mut rest).split_at_mut(width);
+        row[0] = sample(inputs[0], i32::from(above_row[0]));
+        let mut left = i32::from(row[0]);
+        for ((out, &input), above) in row[1..].iter_mut().zip(&inputs[1..]).zip(above_row.windows(2)) {
+            let (above_left, above) = (i32::from(above[0]), i32::from(above[1]));
+            *out = sample(input, median3(left, above, left + above - above_left));
+            left = i32::from(*out);
+        }
+        above_row = row;
+        rest = tail;
+    }
+}
+
+/// SimH264 inter: the co-located sample of the previous frame.
+#[inline(always)]
+fn predict_inter_temporal<T: Copy>(
+    recon: &mut [u8],
+    inputs: &[T],
+    prev: &[u8],
+    mut sample: impl FnMut(T, i32) -> u8,
+) {
+    for ((out, &input), &temporal) in recon.iter_mut().zip(inputs).zip(prev) {
+        *out = sample(input, i32::from(temporal));
+    }
+}
+
+/// SimHevc inter: the median of the left neighbour, the co-located sample
+/// and their spatio-temporal gradient; the first column is purely temporal.
+#[inline(always)]
+fn predict_inter_median<T: Copy>(
+    recon: &mut [u8],
+    inputs: &[T],
+    prev: &[u8],
+    width: usize,
+    mut sample: impl FnMut(T, i32) -> u8,
+) {
+    let rows = recon.chunks_exact_mut(width).zip(inputs.chunks_exact(width));
+    for ((row, inputs), prev_row) in rows.zip(prev.chunks_exact(width)) {
+        row[0] = sample(inputs[0], i32::from(prev_row[0]));
+        let mut left = i32::from(row[0]);
+        for ((out, &input), prev) in row[1..].iter_mut().zip(&inputs[1..]).zip(prev_row.windows(2)) {
+            let (prev_left, temporal) = (i32::from(prev[0]), i32::from(prev[1]));
+            let gradient = (temporal + left - prev_left).clamp(0, 255);
+            *out = sample(input, median3(left, temporal, gradient));
+            left = i32::from(*out);
+        }
+    }
+}
+
+/// Encoder state of one GOP: the quantizer tables and the frame buffers,
+/// reused across frames.
+struct GopEncoder {
+    planes: [(usize, usize, usize); 3],
+    quant: Quantizer,
+    /// Reconstruction of the previous frame: the inter reference.
+    prev: Vec<u8>,
+    /// Reconstruction of the current frame, per predictor family.
+    recon: [Vec<u8>; 2],
+    /// Payload of the current frame per predictor family, for HEVC-sim's
+    /// mode decision.
+    candidates: [Vec<u8>; 2],
+}
+
+impl GopEncoder {
+    fn new(width: u32, height: u32, q: i32) -> Self {
+        let bytes = PixelFormat::Yuv420.frame_bytes(width, height);
+        Self {
+            planes: yuv420_planes(width, height),
+            quant: Quantizer::new(q),
+            prev: vec![0; bytes],
+            recon: [vec![0; bytes], vec![0; bytes]],
+            candidates: [Vec::new(), Vec::new()],
+        }
+    }
+
+    /// Encodes one YUV 4:2:0 frame onto `payload` and makes its
+    /// reconstruction the next frame's reference.
+    fn encode(&mut self, cur: &[u8], intra: bool, advanced: bool, payload: &mut Vec<u8>) {
+        let chosen = if advanced {
+            // HEVC-sim performs a per-frame mode decision: it encodes the
+            // frame with both predictor families and keeps the smaller
+            // result. This costs roughly twice the analysis work of the
+            // H.264 simulation and never produces a larger frame — the same
+            // qualitative trade-off as real HEVC versus H.264.
+            let mut candidates = std::mem::take(&mut self.candidates);
+            for (slot, candidate) in candidates.iter_mut().enumerate() {
+                candidate.clear();
+                self.encode_frame(cur, intra, slot == 1, slot, candidate);
+            }
+            let chosen = usize::from(candidates[1].len() <= candidates[0].len());
+            payload.push(chosen as u8);
+            payload.extend_from_slice(&candidates[chosen]);
+            self.candidates = candidates;
+            chosen
         } else {
-            128
-        }
-    } else {
-        match (left >= 0, above >= 0) {
-            (true, true) => {
-                let above_left = i32::from(recon[(y - 1) * w + x - 1]);
-                // MED / LOCO-I gradient predictor.
-                if above_left >= left.max(above) {
-                    left.min(above)
-                } else if above_left <= left.min(above) {
-                    left.max(above)
-                } else {
-                    left + above - above_left
-                }
-            }
-            (true, false) => left,
-            (false, true) => above,
-            (false, false) => 128,
+            self.encode_frame(cur, intra, false, 0, payload);
+            0
+        };
+        std::mem::swap(&mut self.prev, &mut self.recon[chosen]);
+    }
+
+    /// Encodes all three planes of `cur` onto `out`, reconstructing them
+    /// into `recon[slot]`. Each level is zero-run coded as soon as it is
+    /// quantized.
+    fn encode_frame(&mut self, cur: &[u8], intra: bool, advanced: bool, slot: usize, out: &mut Vec<u8>) {
+        let quant = &self.quant;
+        for &(offset, w, h) in &self.planes {
+            let plane = offset..offset + w * h;
+            let reference = (!intra).then(|| &self.prev[plane.clone()]);
+            let mut writer = ResidualWriter::new(out, w * h);
+            let recon = &mut self.recon[slot][plane.clone()];
+            predict_plane(recon, &cur[plane], reference, w, advanced, |actual, pred| {
+                let (level, value) = quant.code(actual, pred);
+                writer.push(level);
+                value
+            });
+            writer.finish();
         }
     }
 }
 
-/// Inter prediction for one sample from the previous reconstructed frame.
-#[inline]
-fn predict_inter(
-    recon_cur: &[u8],
-    recon_prev: &[u8],
-    x: usize,
-    y: usize,
-    w: usize,
-    advanced: bool,
-) -> i32 {
-    let temporal = i32::from(recon_prev[y * w + x]);
-    if !advanced {
-        return temporal;
-    }
-    if x == 0 {
-        return temporal;
-    }
-    let left = i32::from(recon_cur[y * w + x - 1]);
-    let prev_left = i32::from(recon_prev[y * w + x - 1]);
-    // Spatio-temporal gradient hypothesis, guarded by a median filter.
-    let gradient = (temporal + left - prev_left).clamp(0, 255);
-    median3(left, temporal, gradient)
-}
-
-/// Encodes one frame (all three planes) with the given predictor family and
-/// returns `(payload, reconstructed buffer)`.
-fn encode_frame(
-    cur: &[u8],
-    prev_recon: Option<&[u8]>,
-    width: u32,
-    height: u32,
-    q: i32,
-    advanced: bool,
-) -> (Vec<u8>, Vec<u8>) {
-    let mut payload = Vec::new();
-    let mut recon = vec![0u8; cur.len()];
-    let mut residuals: Vec<i32> = Vec::new();
-    for &(offset, w, h) in &yuv420_planes(width, height) {
-        residuals.clear();
-        residuals.reserve(w * h);
-        let cur_plane = &cur[offset..offset + w * h];
-        for y in 0..h {
-            for x in 0..w {
-                let pred = match prev_recon {
-                    Some(prev) => {
-                        let prev_plane = &prev[offset..offset + w * h];
-                        let recon_plane = &recon[offset..offset + w * h];
-                        predict_inter(recon_plane, prev_plane, x, y, w, advanced)
-                    }
-                    None => {
-                        let recon_plane = &recon[offset..offset + w * h];
-                        predict_intra(recon_plane, x, y, w, advanced)
-                    }
-                };
-                let actual = i32::from(cur_plane[y * w + x]);
-                let qr = quantize(actual - pred, q);
-                recon[offset + y * w + x] = clamp_pixel(pred + qr * q);
-                residuals.push(qr);
-            }
-        }
-        encode_residuals(&residuals, &mut payload);
-    }
-    (payload, recon)
-}
-
-/// Decodes one frame's payload into a reconstructed YUV 4:2:0 buffer.
+/// Decodes one frame's payload into a new reconstructed YUV 4:2:0 buffer.
+///
+/// All three planes' levels are decoded into `levels` (reused across
+/// frames) and checked against the plane sizes before the frame buffer is
+/// allocated.
 fn decode_frame(
     payload: &[u8],
-    prev_recon: Option<&[u8]>,
-    width: u32,
-    height: u32,
+    prev: Option<&[u8]>,
+    planes: &[(usize, usize, usize); 3],
     q: i32,
     advanced: bool,
+    levels: &mut Vec<i32>,
 ) -> Result<Vec<u8>, CodecError> {
-    let total = PixelFormat::Yuv420.frame_bytes(width, height);
-    let mut recon = vec![0u8; total];
+    // The planes are contiguous, so plane offsets index `levels` too.
+    levels.clear();
     let mut pos = 0usize;
-    for &(offset, w, h) in &yuv420_planes(width, height) {
-        let residuals = decode_residuals(payload, &mut pos)?;
-        if residuals.len() != w * h {
-            return Err(CodecError::Corrupt(format!(
-                "plane residual count {} does not match plane size {}",
-                residuals.len(),
-                w * h
-            )));
-        }
-        for y in 0..h {
-            for x in 0..w {
-                let pred = match prev_recon {
-                    Some(prev) => {
-                        let prev_plane = &prev[offset..offset + w * h];
-                        let recon_plane = &recon[offset..offset + w * h];
-                        predict_inter(recon_plane, prev_plane, x, y, w, advanced)
-                    }
-                    None => {
-                        let recon_plane = &recon[offset..offset + w * h];
-                        predict_intra(recon_plane, x, y, w, advanced)
-                    }
-                };
-                let qr = residuals[y * w + x];
-                recon[offset + y * w + x] = clamp_pixel(pred + qr * q);
-            }
-        }
+    for &(_, w, h) in planes {
+        decode_residuals_into(payload, &mut pos, w * h, levels)?;
+    }
+    let mut recon = vec![0u8; levels.len()];
+    for &(offset, w, h) in planes {
+        let plane = offset..offset + w * h;
+        let reference = prev.map(|p| &p[plane.clone()]);
+        // Wrapping keeps arbitrary levels of a corrupt stream panic-free.
+        let plane_levels = &levels[plane.clone()];
+        predict_plane(&mut recon[plane], plane_levels, reference, w, advanced, |level, pred| {
+            clamp_pixel(pred.wrapping_add(level.wrapping_mul(q)))
+        });
     }
     Ok(recon)
 }
@@ -276,38 +418,25 @@ fn encode_lossy(
     let (width, height) = (first.width(), first.height());
     PixelFormat::Yuv420.validate_resolution(width, height)?;
     let q = config.quantizer();
+    let mut encoder = GopEncoder::new(width, height, q);
     let mut payload = Vec::new();
     let mut infos = Vec::with_capacity(frames.len());
-    let mut prev_recon: Option<Vec<u8>> = None;
     for (i, frame) in frames.iter().enumerate() {
-        let yuv = frame.convert(PixelFormat::Yuv420)?;
+        if (frame.width(), frame.height()) != (width, height) {
+            return Err(CodecError::Frame(vss_frame::FrameError::ShapeMismatch));
+        }
+        // Transcodes hand in YUV 4:2:0 frames already: encode them in place.
+        let converted;
+        let yuv = if frame.format() == PixelFormat::Yuv420 {
+            frame
+        } else {
+            converted = frame.convert(PixelFormat::Yuv420)?;
+            &converted
+        };
         let start = payload.len();
         let is_intra = i == 0;
-        let prev = if is_intra { None } else { prev_recon.as_deref() };
-        let recon = if advanced {
-            // HEVC-sim performs a per-frame mode decision: it encodes the
-            // frame with both predictor families and keeps the smaller
-            // result. This costs roughly twice the analysis work of the
-            // H.264 simulation and never produces a larger frame — the same
-            // qualitative trade-off as real HEVC versus H.264.
-            let (basic_payload, basic_recon) = encode_frame(yuv.data(), prev, width, height, q, false);
-            let (adv_payload, adv_recon) = encode_frame(yuv.data(), prev, width, height, q, true);
-            if adv_payload.len() <= basic_payload.len() {
-                payload.push(1u8);
-                payload.extend_from_slice(&adv_payload);
-                adv_recon
-            } else {
-                payload.push(0u8);
-                payload.extend_from_slice(&basic_payload);
-                basic_recon
-            }
-        } else {
-            let (frame_payload, recon) = encode_frame(yuv.data(), prev, width, height, q, false);
-            payload.extend_from_slice(&frame_payload);
-            recon
-        };
+        encoder.encode(yuv.data(), is_intra, advanced, &mut payload);
         infos.push(FrameInfo { is_intra, offset: start, len: payload.len() - start });
-        prev_recon = Some(recon);
     }
     Ok(EncodedGop::new(codec, width, height, frame_rate, q as u32, infos, payload))
 }
@@ -327,9 +456,12 @@ fn decode_lossy(
     if count > gop.frame_count() {
         return Err(CodecError::FrameOutOfRange { index: count, len: gop.frame_count() });
     }
+    let (width, height) = (gop.width(), gop.height());
+    PixelFormat::Yuv420.validate_resolution(width, height)?;
+    let planes = yuv420_planes(width, height);
     let q = gop.quantizer() as i32;
-    let mut out = Vec::with_capacity(count);
-    let mut prev_recon: Option<Vec<u8>> = None;
+    let mut levels = Vec::new();
+    let mut out: Vec<Frame> = Vec::with_capacity(count);
     for i in 0..count {
         let info = gop.frames()[i];
         let mut payload = gop.frame_payload(i)?;
@@ -342,16 +474,10 @@ fn decode_lossy(
             frame_advanced = flag != 0;
             payload = rest;
         }
-        let recon = decode_frame(
-            payload,
-            if info.is_intra { None } else { prev_recon.as_deref() },
-            gop.width(),
-            gop.height(),
-            q,
-            frame_advanced,
-        )?;
-        out.push(Frame::from_data(gop.width(), gop.height(), PixelFormat::Yuv420, recon.clone())?);
-        prev_recon = Some(recon);
+        // The previous decoded frame is the inter reference, borrowed.
+        let prev = if info.is_intra { None } else { out.last().map(Frame::data) };
+        let recon = decode_frame(payload, prev, &planes, q, frame_advanced, &mut levels)?;
+        out.push(Frame::from_data(width, height, PixelFormat::Yuv420, recon)?);
     }
     FrameSequence::new(out, gop.frame_rate()).map_err(CodecError::from)
 }

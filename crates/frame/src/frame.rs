@@ -233,219 +233,414 @@ impl Frame {
     /// chroma-subsampled format averages the chroma of the covered pixels.
     /// Conversions are lossy only to the extent implied by subsampling and
     /// 8-bit rounding.
+    ///
+    /// The kernels work a row at a time: an RGB row is de-interleaved into
+    /// channel rows once and all three YUV components of every pixel are
+    /// computed in one `f32` pass; a YUV row reuses the chroma products of
+    /// its chroma row. Every sample is still computed with the exact `f32`
+    /// expression of the per-pixel BT.601 conversion behind
+    /// [`Frame::rgb_at`] and [`Frame::set_rgb`] (same constants, same
+    /// operation order) and rounded half away from zero without a libm
+    /// `roundf` call, so the output is bit-identical to converting pixel by
+    /// pixel.
     pub fn convert(&self, target: PixelFormat) -> Result<Frame, FrameError> {
         if target == self.format {
             return Ok(self.clone());
         }
         target.validate_resolution(self.width, self.height)?;
-        let mut out = Frame::black(self.width, self.height, target)?;
-        // All conversions below work row-by-row on plane slices rather than
-        // through the per-pixel accessors; the per-sample arithmetic is
-        // unchanged, so outputs are identical to the accessor-based paths.
-        match target {
-            PixelFormat::Rgb8 => self.convert_to_rgb_rows(&mut out),
-            PixelFormat::Yuv420 => {
-                self.write_luma_plane(&mut out);
-                let w = self.width as usize;
-                let h = self.height as usize;
-                let (cw, ch) = (w / 2, h / 2);
-                let (u_out, v_out) = out.data[w * h..].split_at_mut(cw * ch);
-                match self.format {
-                    PixelFormat::Rgb8 => {
-                        // Average the BT.601 chroma of each 2x2 block.
-                        let mut rows = ChromaRows::new(w);
-                        for cy in 0..ch {
-                            rows.fill_from_rgb(&self.data, w, cy * 2);
-                            for cx in 0..cw {
-                                let su = u32::from(rows.u0[cx * 2])
-                                    + u32::from(rows.u0[cx * 2 + 1])
-                                    + u32::from(rows.u1[cx * 2])
-                                    + u32::from(rows.u1[cx * 2 + 1]);
-                                let sv = u32::from(rows.v0[cx * 2])
-                                    + u32::from(rows.v0[cx * 2 + 1])
-                                    + u32::from(rows.v1[cx * 2])
-                                    + u32::from(rows.v1[cx * 2 + 1]);
-                                u_out[cy * cw + cx] = (su / 4) as u8;
-                                v_out[cy * cw + cx] = (sv / 4) as u8;
-                            }
-                        }
-                    }
-                    PixelFormat::Yuv422 => {
-                        // Each 2x2 block shares one 4:2:2 chroma column over
-                        // two rows; the 4-sample average of the accessor path
-                        // reduces to the 2-row average.
-                        let u_in = self.plane(1);
-                        let v_in = self.plane(2);
-                        for cy in 0..ch {
-                            let (top, bottom) = (cy * 2 * cw, (cy * 2 + 1) * cw);
-                            for cx in 0..cw {
-                                let su = 2 * (u32::from(u_in[top + cx]) + u32::from(u_in[bottom + cx]));
-                                let sv = 2 * (u32::from(v_in[top + cx]) + u32::from(v_in[bottom + cx]));
-                                u_out[cy * cw + cx] = (su / 4) as u8;
-                                v_out[cy * cw + cx] = (sv / 4) as u8;
-                            }
-                        }
-                    }
-                    PixelFormat::Yuv420 => unreachable!("identity handled above"),
-                }
-            }
-            PixelFormat::Yuv422 => {
-                self.write_luma_plane(&mut out);
-                let w = self.width as usize;
-                let h = self.height as usize;
+        let (w, h) = (self.width as usize, self.height as usize);
+        let mut data = vec![0u8; target.frame_bytes(self.width, self.height)];
+        match (self.format, target) {
+            (PixelFormat::Rgb8, _) => rgb_to_planar(&self.data, w, target, &mut data),
+            (_, PixelFormat::Rgb8) => self.planar_to_rgb(&mut data),
+            (PixelFormat::Yuv422, PixelFormat::Yuv420) => {
+                // Each 2x2 block shares one 4:2:2 chroma column over two
+                // rows; the 4-sample average reduces to the 2-row average.
+                data[..w * h].copy_from_slice(self.plane(0));
                 let cw = w / 2;
-                let (u_out, v_out) = out.data[w * h..].split_at_mut(cw * h);
-                match self.format {
-                    PixelFormat::Rgb8 => {
-                        let mut rows = ChromaRows::new(w);
-                        for y in 0..h {
-                            rows.fill_row_from_rgb(&self.data, w, y);
-                            for cx in 0..cw {
-                                let su = u32::from(rows.u0[cx * 2]) + u32::from(rows.u0[cx * 2 + 1]);
-                                let sv = u32::from(rows.v0[cx * 2]) + u32::from(rows.v0[cx * 2 + 1]);
-                                u_out[y * cw + cx] = (su / 2) as u8;
-                                v_out[y * cw + cx] = (sv / 2) as u8;
-                            }
+                let (u_out, v_out) = data[w * h..].split_at_mut(cw * (h / 2));
+                for (plane_in, plane_out) in [(self.plane(1), u_out), (self.plane(2), v_out)] {
+                    let rows_out = plane_out.chunks_exact_mut(cw);
+                    for (pair, out) in plane_in.chunks_exact(2 * cw).zip(rows_out) {
+                        let (top, bottom) = pair.split_at(cw);
+                        for ((o, &t), &b) in out.iter_mut().zip(top).zip(bottom) {
+                            *o = ((2 * (u32::from(t) + u32::from(b))) / 4) as u8;
                         }
                     }
-                    PixelFormat::Yuv420 => {
-                        // Both pixels of a 4:2:2 pair read the same 4:2:0
-                        // sample, so the 2-sample average is the sample itself.
-                        let u_in = self.plane(1);
-                        let v_in = self.plane(2);
-                        let ch = h / 2;
-                        for y in 0..h {
-                            let cy = (y / 2).min(ch.saturating_sub(1));
-                            u_out[y * cw..(y + 1) * cw].copy_from_slice(&u_in[cy * cw..(cy + 1) * cw]);
-                            v_out[y * cw..(y + 1) * cw].copy_from_slice(&v_in[cy * cw..(cy + 1) * cw]);
-                        }
-                    }
-                    PixelFormat::Yuv422 => unreachable!("identity handled above"),
                 }
             }
+            (PixelFormat::Yuv420, PixelFormat::Yuv422) => {
+                // Both pixels of a 4:2:2 pair read the same 4:2:0 sample,
+                // so the 2-sample average is the sample itself.
+                data[..w * h].copy_from_slice(self.plane(0));
+                let cw = w / 2;
+                let (u_out, v_out) = data[w * h..].split_at_mut(cw * h);
+                for (plane_in, plane_out) in [(self.plane(1), u_out), (self.plane(2), v_out)] {
+                    let pairs_out = plane_out.chunks_exact_mut(2 * cw);
+                    for (row_in, rows_out) in plane_in.chunks_exact(cw).zip(pairs_out) {
+                        rows_out[..cw].copy_from_slice(row_in);
+                        rows_out[cw..].copy_from_slice(row_in);
+                    }
+                }
+            }
+            (PixelFormat::Yuv420 | PixelFormat::Yuv422, _) => unreachable!("identity handled above"),
         }
-        Ok(out)
+        Ok(Frame { width: self.width, height: self.height, format: target, data })
     }
 
-    /// Converts any source format into packed RGB rows.
-    fn convert_to_rgb_rows(&self, out: &mut Frame) {
+    /// Converts a planar YUV frame into packed RGB rows.
+    fn planar_to_rgb(&self, out: &mut [u8]) {
         let w = self.width as usize;
-        let h = self.height as usize;
-        match self.format {
-            PixelFormat::Rgb8 => out.data.copy_from_slice(&self.data),
-            PixelFormat::Yuv420 | PixelFormat::Yuv422 => {
-                let luma = self.plane(0);
-                let u_plane = self.plane(1);
-                let v_plane = self.plane(2);
-                let cw = w / 2;
-                let chroma_rows = if self.format == PixelFormat::Yuv420 { h / 2 } else { h };
-                for y in 0..h {
-                    let cy = if self.format == PixelFormat::Yuv420 {
-                        (y / 2).min(chroma_rows.saturating_sub(1))
-                    } else {
-                        y
-                    };
-                    let luma_row = &luma[y * w..(y + 1) * w];
-                    let u_row = &u_plane[cy * cw..(cy + 1) * cw];
-                    let v_row = &v_plane[cy * cw..(cy + 1) * cw];
-                    let out_row = &mut out.data[y * w * 3..(y + 1) * w * 3];
-                    for x in 0..w {
-                        let cx = (x / 2).min(cw.saturating_sub(1));
-                        let (r, g, b) = yuv_to_rgb(luma_row[x], u_row[cx], v_row[cx]);
-                        out_row[x * 3] = r;
-                        out_row[x * 3 + 1] = g;
-                        out_row[x * 3 + 2] = b;
-                    }
-                }
+        let cw = w / 2;
+        let rows_per_chroma_row = if self.format == PixelFormat::Yuv420 { 2 } else { 1 };
+        let mut chroma = ChromaProducts::new(w);
+        let luma_rows = self.plane(0).chunks_exact(w);
+        let chroma_rows = self.plane(1).chunks_exact(cw).zip(self.plane(2).chunks_exact(cw));
+        let mut out_rows = out.chunks_exact_mut(3 * w).zip(luma_rows);
+        for (u_row, v_row) in chroma_rows {
+            chroma.load(u_row, v_row);
+            for (out_row, luma_row) in out_rows.by_ref().take(rows_per_chroma_row) {
+                chroma.luma_row_to_rgb(luma_row, out_row);
             }
         }
     }
+}
 
-    fn write_luma_plane(&self, out: &mut Frame) {
-        let w = self.width as usize;
-        let h = self.height as usize;
-        match self.format {
-            // The Y plane leads every planar layout: copy it wholesale.
-            PixelFormat::Yuv420 | PixelFormat::Yuv422 => {
-                out.data[..w * h].copy_from_slice(&self.data[..w * h]);
+/// Converts packed RGB into a planar YUV `target` (4:2:0 or 4:2:2).
+fn rgb_to_planar(rgb: &[u8], w: usize, target: PixelFormat, out: &mut [u8]) {
+    let h = rgb.len() / (3 * w);
+    let cw = w / 2;
+    let rows_per_chroma_row = if target == PixelFormat::Yuv420 { 2 } else { 1 };
+    let (luma, chroma) = out.split_at_mut(w * h);
+    let (u_out, v_out) = chroma.split_at_mut(cw * (h / rows_per_chroma_row));
+    let mut rows = RgbRows::new(w);
+    let mut luma_rows = rgb.chunks_exact(3 * w).zip(luma.chunks_exact_mut(w));
+    for (u_out, v_out) in u_out.chunks_exact_mut(cw).zip(v_out.chunks_exact_mut(cw)) {
+        if rows_per_chroma_row == 1 {
+            let (rgb_row, luma_row) = luma_rows.next().expect("one RGB row per chroma row");
+            rows.convert(rgb_row, luma_row, 0);
+            // Average each horizontal pair of per-pixel chroma samples.
+            for (out, src) in [(u_out, &rows.u[0]), (v_out, &rows.v[0])] {
+                for (o, pair) in out.iter_mut().zip(src.chunks_exact(2)) {
+                    *o = ((u32::from(pair[0]) + u32::from(pair[1])) / 2) as u8;
+                }
             }
-            PixelFormat::Rgb8 => {
-                for y in 0..h {
-                    let rgb_row = &self.data[y * w * 3..(y + 1) * w * 3];
-                    let out_row = &mut out.data[y * w..(y + 1) * w];
-                    for x in 0..w {
-                        let (luma, _, _) =
-                            rgb_to_yuv(rgb_row[x * 3], rgb_row[x * 3 + 1], rgb_row[x * 3 + 2]);
-                        out_row[x] = luma;
-                    }
+        } else {
+            for parity in 0..2 {
+                let (rgb_row, luma_row) = luma_rows.next().expect("two RGB rows per chroma row");
+                rows.convert(rgb_row, luma_row, parity);
+            }
+            // Average the per-pixel chroma of each 2x2 block.
+            for (out, [top, bottom]) in [(u_out, &rows.u), (v_out, &rows.v)] {
+                for ((o, t), b) in out.iter_mut().zip(top.chunks_exact(2)).zip(bottom.chunks_exact(2)) {
+                    let sum = u32::from(t[0]) + u32::from(t[1]) + u32::from(b[0]) + u32::from(b[1]);
+                    *o = (sum / 4) as u8;
                 }
             }
         }
     }
 }
 
-/// Scratch rows of per-pixel BT.601 chroma used when subsampling RGB input.
-struct ChromaRows {
-    u0: Vec<u8>,
-    v0: Vec<u8>,
-    u1: Vec<u8>,
-    v1: Vec<u8>,
+/// Scratch rows of the RGB → YUV kernel: one RGB row de-interleaved into
+/// channel rows, and the per-pixel chroma of the two rows of a 4:2:0 block.
+struct RgbRows {
+    r: Vec<u8>,
+    g: Vec<u8>,
+    b: Vec<u8>,
+    u: [Vec<u8>; 2],
+    v: [Vec<u8>; 2],
 }
 
-impl ChromaRows {
+impl RgbRows {
     fn new(width: usize) -> Self {
-        Self { u0: vec![0; width], v0: vec![0; width], u1: vec![0; width], v1: vec![0; width] }
+        Self {
+            r: vec![0; width],
+            g: vec![0; width],
+            b: vec![0; width],
+            u: [vec![0; width], vec![0; width]],
+            v: [vec![0; width], vec![0; width]],
+        }
     }
 
-    /// Fills `u0/v0` from RGB row `y` of a packed buffer.
-    fn fill_row_from_rgb(&mut self, rgb: &[u8], width: usize, y: usize) {
-        chroma_of_rgb_row(rgb, width, y, &mut self.u0, &mut self.v0);
-    }
-
-    /// Fills `u0/v0` and `u1/v1` from RGB rows `y` and `y + 1`.
-    fn fill_from_rgb(&mut self, rgb: &[u8], width: usize, y: usize) {
-        chroma_of_rgb_row(rgb, width, y, &mut self.u0, &mut self.v0);
-        chroma_of_rgb_row(rgb, width, y + 1, &mut self.u1, &mut self.v1);
+    /// Writes the luma of `rgb_row` to `luma_row` and its per-pixel chroma
+    /// to `u[slot]` / `v[slot]`.
+    fn convert(&mut self, rgb_row: &[u8], luma_row: &mut [u8], slot: usize) {
+        let w = luma_row.len();
+        let (r, g, b) = (&mut self.r[..w], &mut self.g[..w], &mut self.b[..w]);
+        let channels = r.iter_mut().zip(g.iter_mut()).zip(b.iter_mut());
+        for (px, ((r, g), b)) in rgb_row.chunks_exact(3).zip(channels) {
+            *r = px[0];
+            *g = px[1];
+            *b = px[2];
+        }
+        let (u, v) = (&mut self.u[slot][..w], &mut self.v[slot][..w]);
+        for x in 0..w {
+            let (r, g, b) = (f32::from(r[x]), f32::from(g[x]), f32::from(b[x]));
+            luma_row[x] = round_u8(bt601_y(r, g, b));
+            u[x] = round_u8(bt601_u(r, g, b));
+            v[x] = round_u8(bt601_v(r, g, b));
+        }
     }
 }
 
-/// Writes the BT.601 chroma of one packed-RGB row into `u`/`v`.
-fn chroma_of_rgb_row(rgb: &[u8], width: usize, y: usize, u: &mut [u8], v: &mut [u8]) {
-    let row = &rgb[y * width * 3..(y + 1) * width * 3];
-    for x in 0..width {
-        let (_, pu, pv) = rgb_to_yuv(row[x * 3], row[x * 3 + 1], row[x * 3 + 2]);
-        u[x] = pu;
-        v[x] = pv;
+/// The chroma terms of the YUV → RGB matrix ([`bt601_chroma_terms`]) for one
+/// chroma row, upsampled to one value per pixel (both pixels of a pair share
+/// their chroma sample).
+struct ChromaProducts {
+    /// `1.402 * v`, the red term.
+    red_v: Vec<f32>,
+    /// `0.344_136 * u`, the first green term.
+    green_u: Vec<f32>,
+    /// `0.714_136 * v`, the second green term.
+    green_v: Vec<f32>,
+    /// `1.772 * u`, the blue term.
+    blue_u: Vec<f32>,
+}
+
+impl ChromaProducts {
+    fn new(width: usize) -> Self {
+        Self {
+            red_v: vec![0.0; width],
+            green_u: vec![0.0; width],
+            green_v: vec![0.0; width],
+            blue_u: vec![0.0; width],
+        }
     }
+
+    /// Computes the products of one chroma row.
+    fn load(&mut self, u_row: &[u8], v_row: &[u8]) {
+        let pairs = self
+            .red_v
+            .chunks_exact_mut(2)
+            .zip(self.green_u.chunks_exact_mut(2))
+            .zip(self.green_v.chunks_exact_mut(2))
+            .zip(self.blue_u.chunks_exact_mut(2));
+        for ((((red_v, green_u), green_v), blue_u), (&u, &v)) in pairs.zip(u_row.iter().zip(v_row)) {
+            let terms = bt601_chroma_terms(u, v);
+            red_v.fill(terms[0]);
+            green_u.fill(terms[1]);
+            green_v.fill(terms[2]);
+            blue_u.fill(terms[3]);
+        }
+    }
+
+    /// Converts one luma row with the loaded chroma into packed RGB.
+    fn luma_row_to_rgb(&self, luma_row: &[u8], out_row: &mut [u8]) {
+        let w = luma_row.len();
+        let (red_v, green_u) = (&self.red_v[..w], &self.green_u[..w]);
+        let (green_v, blue_u) = (&self.green_v[..w], &self.blue_u[..w]);
+        for (x, px) in out_row.chunks_exact_mut(3).enumerate().take(w) {
+            let terms = [red_v[x], green_u[x], green_v[x], blue_u[x]];
+            (px[0], px[1], px[2]) = bt601_rgb(f32::from(luma_row[x]), terms);
+        }
+    }
+}
+
+/// BT.601 luma of an RGB triple, before rounding.
+#[inline(always)]
+fn bt601_y(r: f32, g: f32, b: f32) -> f32 {
+    0.299 * r + 0.587 * g + 0.114 * b
+}
+
+/// BT.601 blue-difference chroma of an RGB triple, before rounding.
+#[inline(always)]
+fn bt601_u(r: f32, g: f32, b: f32) -> f32 {
+    -0.168_736 * r - 0.331_264 * g + 0.5 * b + 128.0
+}
+
+/// BT.601 red-difference chroma of an RGB triple, before rounding.
+#[inline(always)]
+fn bt601_v(r: f32, g: f32, b: f32) -> f32 {
+    0.5 * r - 0.418_688 * g - 0.081_312 * b + 128.0
 }
 
 /// BT.601 full-range RGB → YUV conversion.
 pub fn rgb_to_yuv(r: u8, g: u8, b: u8) -> (u8, u8, u8) {
     let (r, g, b) = (f32::from(r), f32::from(g), f32::from(b));
-    let y = 0.299 * r + 0.587 * g + 0.114 * b;
-    let u = -0.168_736 * r - 0.331_264 * g + 0.5 * b + 128.0;
-    let v = 0.5 * r - 0.418_688 * g - 0.081_312 * b + 128.0;
-    (clamp_u8(y), clamp_u8(u), clamp_u8(v))
+    (round_u8(bt601_y(r, g, b)), round_u8(bt601_u(r, g, b)), round_u8(bt601_v(r, g, b)))
+}
+
+/// The chroma terms of the BT.601 YUV → RGB matrix, with `u` and `v`
+/// centred on 128: `[1.402 v, 0.344_136 u, 0.714_136 v, 1.772 u]`.
+#[inline(always)]
+fn bt601_chroma_terms(u: u8, v: u8) -> [f32; 4] {
+    let u = f32::from(u) - 128.0;
+    let v = f32::from(v) - 128.0;
+    [1.402 * v, 0.344_136 * u, 0.714_136 * v, 1.772 * u]
+}
+
+/// Rounded RGB of luma `y` with the chroma terms of [`bt601_chroma_terms`].
+#[inline(always)]
+fn bt601_rgb(y: f32, [red_v, green_u, green_v, blue_u]: [f32; 4]) -> (u8, u8, u8) {
+    (round_u8(y + red_v), round_u8(y - green_u - green_v), round_u8(y + blue_u))
 }
 
 /// BT.601 full-range YUV → RGB conversion.
 pub fn yuv_to_rgb(y: u8, u: u8, v: u8) -> (u8, u8, u8) {
-    let y = f32::from(y);
-    let u = f32::from(u) - 128.0;
-    let v = f32::from(v) - 128.0;
-    let r = y + 1.402 * v;
-    let g = y - 0.344_136 * u - 0.714_136 * v;
-    let b = y + 1.772 * u;
-    (clamp_u8(r), clamp_u8(g), clamp_u8(b))
+    bt601_rgb(f32::from(y), bt601_chroma_terms(u, v))
 }
 
-fn clamp_u8(v: f32) -> u8 {
-    v.round().clamp(0.0, 255.0) as u8
+/// `v.round().clamp(0.0, 255.0) as u8` without the libm `roundf` call and
+/// without a float-to-int conversion, so row loops of it vectorize.
+///
+/// Clamping first is exact because rounding is monotonic and maps 0 and 255
+/// to themselves. Adding 2^23 to the clamped value rounds it to the nearest
+/// integer, ties to even, into the low mantissa bits. Rounding half away from
+/// zero differs only on ties that went down, where the (exact) difference
+/// `c - n` is one half.
+#[inline(always)]
+fn round_u8(v: f32) -> u8 {
+    let c = v.clamp(0.0, 255.0);
+    let n = (c + 8_388_608.0).to_bits() as i32 - 0x4B00_0000;
+    (n + i32::from(c - n as f32 >= 0.5)) as u8
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-sample conversions as first written, rounding through libm's
+    /// `roundf`: the oracle the kernels must match bit for bit.
+    mod reference {
+        pub fn rgb_to_yuv(r: u8, g: u8, b: u8) -> (u8, u8, u8) {
+            let (r, g, b) = (f32::from(r), f32::from(g), f32::from(b));
+            let y = 0.299 * r + 0.587 * g + 0.114 * b;
+            let u = -0.168_736 * r - 0.331_264 * g + 0.5 * b + 128.0;
+            let v = 0.5 * r - 0.418_688 * g - 0.081_312 * b + 128.0;
+            (clamp_u8(y), clamp_u8(u), clamp_u8(v))
+        }
+
+        pub fn yuv_to_rgb(y: u8, u: u8, v: u8) -> (u8, u8, u8) {
+            let y = f32::from(y);
+            let u = f32::from(u) - 128.0;
+            let v = f32::from(v) - 128.0;
+            let r = y + 1.402 * v;
+            let g = y - 0.344_136 * u - 0.714_136 * v;
+            let b = y + 1.772 * u;
+            (clamp_u8(r), clamp_u8(g), clamp_u8(b))
+        }
+
+        fn clamp_u8(v: f32) -> u8 {
+            v.round().clamp(0.0, 255.0) as u8
+        }
+    }
+
+    #[test]
+    fn rgb_to_yuv_matches_the_reference_on_every_input() {
+        // Each (r, g) pair is one 256-pixel row with b = 0..=255, pushed
+        // through both the per-pixel function and the row kernel.
+        let mut rgb_row: Vec<u8> = (0..=255u8).flat_map(|b| [0, 0, b]).collect();
+        let mut rows = RgbRows::new(256);
+        let mut luma = [0u8; 256];
+        for r in 0..=255u8 {
+            for g in 0..=255u8 {
+                for px in rgb_row.chunks_exact_mut(3) {
+                    px[0] = r;
+                    px[1] = g;
+                }
+                rows.convert(&rgb_row, &mut luma, 1);
+                for b in 0..=255u8 {
+                    let expected = reference::rgb_to_yuv(r, g, b);
+                    let i = usize::from(b);
+                    assert_eq!(rgb_to_yuv(r, g, b), expected, "rgb ({r}, {g}, {b})");
+                    let row = (luma[i], rows.u[1][i], rows.v[1][i]);
+                    assert_eq!(row, expected, "row kernel ({r}, {g}, {b})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn yuv_to_rgb_matches_the_reference_on_every_input() {
+        // Each (u, v) pair is one chroma row under a 256-pixel luma row with
+        // y = 0..=255, pushed through both the per-pixel function and the
+        // row kernel.
+        let luma: Vec<u8> = (0..=255u8).collect();
+        let mut products = ChromaProducts::new(256);
+        let mut out = [0u8; 3 * 256];
+        for u in 0..=255u8 {
+            for v in 0..=255u8 {
+                products.load(&[u; 128], &[v; 128]);
+                products.luma_row_to_rgb(&luma, &mut out);
+                for y in 0..=255u8 {
+                    let expected = reference::yuv_to_rgb(y, u, v);
+                    let px = &out[3 * usize::from(y)..][..3];
+                    assert_eq!(yuv_to_rgb(y, u, v), expected, "yuv ({y}, {u}, {v})");
+                    assert_eq!((px[0], px[1], px[2]), expected, "row kernel ({y}, {u}, {v})");
+                }
+            }
+        }
+    }
+
+    /// `convert` rebuilt pixel by pixel from the reference functions.
+    fn reference_convert(src: &Frame, target: PixelFormat) -> Frame {
+        let (w, h) = (src.width(), src.height());
+        let mut out = Frame::black(w, h, target).unwrap();
+        match (src.format(), target) {
+            (PixelFormat::Rgb8, PixelFormat::Rgb8) => out = src.clone(),
+            (PixelFormat::Rgb8, _) => {
+                let (sub_x, sub_y) = if target == PixelFormat::Yuv420 { (2, 2) } else { (2, 1) };
+                let cw = w as usize / 2;
+                let luma = (w * h) as usize;
+                let chroma = out.plane(1).len();
+                for cy in 0..h / sub_y {
+                    for cx in 0..w / 2 {
+                        let (mut su, mut sv) = (0u32, 0u32);
+                        for y in cy * sub_y..(cy + 1) * sub_y {
+                            for x in cx * sub_x..(cx + 1) * sub_x {
+                                let (r, g, b) = src.rgb_at(x, y);
+                                let (yy, u, v) = reference::rgb_to_yuv(r, g, b);
+                                out.data_mut()[(y * w + x) as usize] = yy;
+                                su += u32::from(u);
+                                sv += u32::from(v);
+                            }
+                        }
+                        let i = cy as usize * cw + cx as usize;
+                        out.data_mut()[luma + i] = (su / (sub_x * sub_y)) as u8;
+                        out.data_mut()[luma + chroma + i] = (sv / (sub_x * sub_y)) as u8;
+                    }
+                }
+            }
+            (_, PixelFormat::Rgb8) => {
+                for y in 0..h {
+                    for x in 0..w {
+                        let (yy, u, v) = src.yuv_at(x, y);
+                        let (r, g, b) = reference::yuv_to_rgb(yy, u, v);
+                        let i = 3 * (y * w + x) as usize;
+                        out.data_mut()[i..i + 3].copy_from_slice(&[r, g, b]);
+                    }
+                }
+            }
+            _ => unreachable!("only RGB conversions are compared here"),
+        }
+        out
+    }
+
+    #[test]
+    fn frame_conversions_match_the_reference_at_every_size() {
+        let mut seed = 0x5EED_u64;
+        for (w, h) in [(2, 2), (2, 3), (4, 6), (6, 5), (34, 18), (66, 50)] {
+            let mut rgb = Frame::black(w, h, PixelFormat::Rgb8).unwrap();
+            for b in rgb.data_mut() {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                *b = seed as u8;
+            }
+            for target in [PixelFormat::Yuv420, PixelFormat::Yuv422] {
+                if target.validate_resolution(w, h).is_err() {
+                    continue;
+                }
+                let yuv = rgb.convert(target).unwrap();
+                assert_eq!(yuv, reference_convert(&rgb, target), "rgb -> {target} at {w}x{h}");
+                assert_eq!(
+                    yuv.convert(PixelFormat::Rgb8).unwrap(),
+                    reference_convert(&yuv, PixelFormat::Rgb8),
+                    "{target} -> rgb at {w}x{h}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn from_data_validates_size() {
