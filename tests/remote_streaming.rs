@@ -19,6 +19,9 @@ use vss::server::{ServerConfig, VssServer};
 use vss::workload::{SceneConfig, SceneRenderer};
 use vss_core::VssError;
 
+mod support;
+use support::own_threads;
+
 fn readahead_depths() -> Vec<usize> {
     let mut depths = vec![0usize, 1, 4];
     if let Ok(value) = std::env::var("VSS_STREAM_READAHEAD") {
@@ -29,16 +32,6 @@ fn readahead_depths() -> Vec<usize> {
         }
     }
     depths
-}
-
-/// Count of live threads in this process (Linux); `None` where unsupported.
-fn live_threads() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find(|line| line.starts_with("Threads:"))
-        .and_then(|line| line.split_whitespace().nth(1))
-        .and_then(|value| value.parse().ok())
 }
 
 fn scratch(tag: &str) -> std::path::PathBuf {
@@ -92,7 +85,7 @@ fn drain_chunks(stream: ReadStream) -> (FrameSequence, Vec<Vec<u8>>) {
 #[test]
 fn remote_store_passes_the_streaming_equivalence_matrix_over_loopback() {
     let video = traffic_video(90);
-    let baseline_threads = live_threads();
+    let baseline_threads = own_threads();
     for parallelism in [1usize, 4] {
         // Reference bytes per request index, captured at the first readahead
         // depth of this parallelism: every depth must reproduce them.
@@ -158,7 +151,7 @@ fn remote_store_passes_the_streaming_equivalence_matrix_over_loopback() {
             let _ = std::fs::remove_dir_all(root);
         }
     }
-    if let (Some(before), Some(after)) = (baseline_threads, live_threads()) {
+    if let (Some(before), Some(after)) = (baseline_threads, own_threads()) {
         assert!(after <= before, "matrix run leaked threads: {before} -> {after}");
     }
 }
@@ -173,6 +166,8 @@ fn remote_store_passes_the_streaming_equivalence_matrix_over_loopback() {
 #[test]
 fn single_admission_slot_serves_control_plus_streams() {
     let root = scratch("one-slot");
+    // Baseline before the server exists: its accept thread must be gone too.
+    let baseline_threads = own_threads();
     let server = VssServer::open_configured(
         VssConfig::new(&root).with_readahead(2),
         1,
@@ -180,7 +175,6 @@ fn single_admission_slot_serves_control_plus_streams() {
     )
     .unwrap();
     let net = NetServer::bind(server.clone(), "127.0.0.1:0").unwrap();
-    let baseline_threads = live_threads();
     let video = traffic_video(60);
 
     let mut store = RemoteStore::connect(net.local_addr()).unwrap();
@@ -217,7 +211,7 @@ fn single_admission_slot_serves_control_plus_streams() {
     drop(store);
     net.shutdown();
     assert!(server.shutdown(std::time::Duration::from_secs(30)));
-    if let (Some(before), Some(after)) = (baseline_threads, live_threads()) {
+    if let (Some(before), Some(after)) = (baseline_threads, own_threads()) {
         assert!(after <= before, "single-slot run leaked threads: {before} -> {after}");
     }
     let _ = std::fs::remove_dir_all(root);
@@ -246,6 +240,8 @@ fn with_backoff<T>(mut op: impl FnMut() -> Result<T, VssError>) -> T {
 fn eight_tcp_clients_with_admission_limit_leave_a_byte_identical_store() {
     let server_root = scratch("stress-server");
     let reference_root = scratch("stress-reference");
+    // Baseline before the server exists: its accept thread must be gone too.
+    let baseline_threads = own_threads();
     let server = VssServer::open_configured(
         VssConfig::new(&server_root).with_readahead(2),
         4,
@@ -256,7 +252,6 @@ fn eight_tcp_clients_with_admission_limit_leave_a_byte_identical_store() {
     let addr = net.local_addr();
     // Sequential ground truth: monolithic engine, one worker, no readahead.
     let reference = Vss::open(VssConfig::new(&reference_root).with_parallelism(1)).unwrap();
-    let baseline_threads = live_threads();
 
     // Mixed ops per client: wire write of its own video, streamed reads
     // (drained and early-dropped), an append, and an aborted sink mid-clip —
@@ -411,9 +406,9 @@ fn eight_tcp_clients_with_admission_limit_leave_a_byte_identical_store() {
     }
     drop(session);
 
-    // Zero leaked threads (Linux-only check): handlers, readers and
-    // readahead workers were all joined.
-    if let (Some(before), Some(after)) = (baseline_threads, live_threads()) {
+    // Zero leaked threads (Linux-only check): the accept loop, handlers,
+    // readers and readahead workers were all joined.
+    if let (Some(before), Some(after)) = (baseline_threads, own_threads()) {
         assert!(after <= before, "stress run leaked threads: {before} -> {after}");
     }
     let _ = std::fs::remove_dir_all(server_root);

@@ -23,6 +23,9 @@ use vss::prelude::*;
 use vss::workload::{SceneConfig, SceneRenderer};
 use vss_server::VssServer;
 
+mod support;
+use support::own_threads;
+
 /// The readahead axis of the equivalence matrix: synchronous, minimal
 /// pipelining and a deeper pool; `VSS_STREAM_READAHEAD` appends an extra
 /// depth so CI can force a readahead-enabled re-run of the whole suite.
@@ -36,17 +39,6 @@ fn readahead_depths() -> Vec<usize> {
         }
     }
     depths
-}
-
-/// Count of live threads in this process (Linux); used to prove readahead
-/// workers are joined, not leaked. Returns `None` where unsupported.
-fn live_threads() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find(|line| line.starts_with("Threads:"))
-        .and_then(|line| line.split_whitespace().nth(1))
-        .and_then(|value| value.parse().ok())
 }
 
 fn scratch(tag: &str) -> std::path::PathBuf {
@@ -390,7 +382,7 @@ fn early_drop_with_readahead_in_flight_leaks_nothing_and_wedges_no_lock() {
     let server = VssServer::open_sharded(VssConfig::new(&root).with_readahead(4), 2).unwrap();
     let session = server.session();
     session.write(&WriteRequest::new("cam", Codec::H264), &video).unwrap();
-    let baseline_threads = live_threads();
+    let baseline_threads = own_threads();
 
     for consumed in [0usize, 1, 2] {
         // --- ReadStream dropped with prefetch workers in flight ------------
@@ -435,7 +427,7 @@ fn early_drop_with_readahead_in_flight_leaks_nothing_and_wedges_no_lock() {
     }
 
     // Every readahead/encode worker was joined on drop (Linux-only check).
-    if let (Some(before), Some(after)) = (baseline_threads, live_threads()) {
+    if let (Some(before), Some(after)) = (baseline_threads, own_threads()) {
         assert!(
             after <= before,
             "early drops leaked threads: {before} before, {after} after"
